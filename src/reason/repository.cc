@@ -278,8 +278,10 @@ std::string Repository::SnapshotTriplesPath() const {
 Result<Repository::LoadStats> Repository::Load(std::string_view ntriples_document) {
   Stopwatch watch;
   // Parallel parser instances encode concurrently against the sharded
-  // dictionary; triples come back in document order, so load semantics are
-  // unchanged.
+  // dictionary; triples come back in document order, so the loaded statements
+  // are those of a serial parse. Term ids are not: for documents past the
+  // parallel floor they follow parse-thread scheduling (see Dictionary's id
+  // assignment contract).
   SLIDER_ASSIGN_OR_RETURN(
       TripleVec parsed, LoadNTriplesStringParallel(ntriples_document, &dict_));
   SLIDER_ASSIGN_OR_RETURN(LoadStats stats, AddTriples(parsed));

@@ -162,6 +162,9 @@ class Repository {
   /// Parses an N-Triples document, loads it and fully materialises.
   /// Parsing and inference are timed together, as the paper does for
   /// OWLIM-SE ("the running times include both parsing and inferencing").
+  /// Documents over 64 KB are parsed by up to one worker per core, so their
+  /// term ids follow parse-thread scheduling: two repositories loading the
+  /// same document agree on decoded triples, not on ids.
   Result<LoadStats> Load(std::string_view ntriples_document);
 
   /// Adds already-encoded statements. Under the default batch semantics the
